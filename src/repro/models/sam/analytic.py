@@ -38,7 +38,13 @@ from ...core.boxes import clip_boxes, pad_box
 from ...core.masks import clean_mask, component_containing, mask_boundary, stability_score
 from ...errors import PromptError
 
-__all__ = ["AnalyticContext", "MaskHypothesis", "AnalyticMaskHead", "DEFAULT_SCORE_WEIGHTS"]
+__all__ = [
+    "AnalyticContext",
+    "MaskHypothesis",
+    "WindowedHypotheses",
+    "AnalyticMaskHead",
+    "DEFAULT_SCORE_WEIGHTS",
+]
 
 DEFAULT_SCORE_WEIGHTS: dict[str, float] = {
     "stability": 0.25,
@@ -47,6 +53,19 @@ DEFAULT_SCORE_WEIGHTS: dict[str, float] = {
     "homogeneity": 0.10,
     "area": 0.10,
 }
+
+#: Morphology constants of the box-prompt hypotheses and their scoring.
+_RING_ITERATIONS = 3  # contrast ring: dilation of the mask minus the mask
+_STABILITY_ITERATIONS = 2  # erode/dilate depth of ``stability_score``
+_CLOSE_RADIUS = 1  # ``clean_mask`` closing of the box hypotheses
+
+#: How far past the padded box a box hypothesis's computation can see.
+#: Every pre-cleanup mask lies inside the padded box; closing grows it by at
+#: most the close radius, and scoring dilates that by the ring or stability
+#: depth.  One more pixel of zeros keeps each operation's border handling
+#: off the window edge, so a window this much larger than the padded box
+#: reproduces the full-frame computation exactly.
+_BOX_REACH = _CLOSE_RADIUS + max(_RING_ITERATIONS, _STABILITY_ITERATIONS) + 1
 
 
 @dataclass(frozen=True)
@@ -70,6 +89,30 @@ class MaskHypothesis:
     kind: str
     score: float
     terms: dict[str, float] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class WindowedHypotheses:
+    """Box-prompt hypotheses computed on a window of the frame.
+
+    ``hyps`` carry window-sized masks; :meth:`paste` returns full-frame
+    copies.  Storing this instead of full-frame masks keeps a cached box
+    decode O(box) in memory rather than O(frame).
+    """
+
+    window: tuple[int, int, int, int]  # (y0, y1, x0, x1) in frame pixels
+    shape: tuple[int, int]  # frame (h, w)
+    hyps: tuple[MaskHypothesis, ...]
+
+    def paste(self) -> list[MaskHypothesis]:
+        """Full-frame hypotheses in fresh arrays (callers may mutate them)."""
+        y0, y1, x0, x1 = self.window
+        out = []
+        for hyp in self.hyps:
+            mask = np.zeros(self.shape, dtype=bool)
+            mask[y0:y1, x0:x1] = hyp.mask
+            out.append(MaskHypothesis(mask=mask, kind=hyp.kind, score=hyp.score, terms=dict(hyp.terms)))
+        return out
 
 
 def _otsu_threshold_float(values: np.ndarray, n_bins: int = 128) -> float:
@@ -160,8 +203,15 @@ class AnalyticMaskHead:
 
     # -- scoring --------------------------------------------------------------
 
-    def score_mask(self, ctx: AnalyticContext, mask: np.ndarray) -> tuple[float, dict[str, float]]:
-        """Quality terms + weighted predicted-IoU score for a mask."""
+    def score_mask(
+        self, ctx: AnalyticContext, mask: np.ndarray, *, frame_area: int | None = None
+    ) -> tuple[float, dict[str, float]]:
+        """Quality terms + weighted predicted-IoU score for a mask.
+
+        ``frame_area`` is the pixel count the ``area`` term divides by; it
+        defaults to the mask's own size and must be the full frame's when
+        ``ctx``/``mask`` are a window of it.
+        """
         m = np.asarray(mask, dtype=bool)
         n = int(m.sum())
         if n == 0:
@@ -171,24 +221,26 @@ class AnalyticMaskHead:
         if boundary.any() and ctx.grad_p95 > 1e-9:
             edge = float(np.clip(ctx.grad_mag[boundary].mean() / ctx.grad_p95, 0.0, 1.0))
         inside_mean = float(ctx.smooth[m].mean())
-        ring = binary_dilation(m, iterations=3) & ~m
+        ring = binary_dilation(m, iterations=_RING_ITERATIONS) & ~m
         contrast = 0.0
         if ring.any():
             contrast = float(np.clip(abs(inside_mean - float(ctx.smooth[ring].mean())) / 0.25, 0.0, 1.0))
         std_in = float(ctx.smooth[m].std())
         homogeneity = float(np.exp(-((std_in / 0.10) ** 2)))
         terms = {
-            "stability": stability_score(m),
+            "stability": stability_score(m, iterations=_STABILITY_ITERATIONS),
             "edge": edge,
             "contrast": contrast,
             "homogeneity": homogeneity,
-            "area": float(n / m.size),
+            "area": float(n / (m.size if frame_area is None else frame_area)),
         }
         score = float(sum(self.score_weights[k] * terms[k] for k in self.score_weights))
         return score, terms
 
-    def _hypothesis(self, ctx: AnalyticContext, mask: np.ndarray, kind: str) -> MaskHypothesis:
-        score, terms = self.score_mask(ctx, mask)
+    def _hypothesis(
+        self, ctx: AnalyticContext, mask: np.ndarray, kind: str, *, frame_area: int | None = None
+    ) -> MaskHypothesis:
+        score, terms = self.score_mask(ctx, mask, frame_area=frame_area)
         return MaskHypothesis(mask=mask, kind=kind, score=score, terms=terms)
 
     # -- band masks -----------------------------------------------------------
@@ -212,49 +264,67 @@ class AnalyticMaskHead:
         band = np.abs(ctx.smooth - m) <= kk * s
         if within is not None:
             band &= within
-        return clean_mask(band, open_radius=1, close_radius=1, min_area=self.min_component_area)
+        return clean_mask(band, open_radius=1, close_radius=_CLOSE_RADIUS, min_area=self.min_component_area)
 
     # -- prompts ----------------------------------------------------------------
 
     def masks_from_box(self, ctx: AnalyticContext, box: np.ndarray) -> list[MaskHypothesis]:
-        """Bright / dark / region hypotheses for a box prompt."""
+        """Bright / dark / region hypotheses for a box prompt, full-frame masks."""
+        return self.box_hypotheses(ctx, box).paste()
+
+    def box_hypotheses(self, ctx: AnalyticContext, box: np.ndarray) -> WindowedHypotheses:
+        """Box-prompt hypotheses computed on the padded box plus the reach.
+
+        Every mask, morphology step and score runs on
+        :meth:`crop_context` of that window; only the ``area`` term is
+        normalised by the frame.  Pasted back, the result equals a
+        full-frame computation bit for bit (see ``_BOX_REACH``).
+        """
         h, w = ctx.image.shape
         b = clip_boxes(box, (h, w))[0]
         padded = pad_box(b, margin=0.06 * max(b[2] - b[0], b[3] - b[1]) + 2, image_shape=(h, w))
         x0, y0, x1, y1 = (int(padded[0]), int(padded[1]), int(np.ceil(padded[2])), int(np.ceil(padded[3])))
-        within = np.zeros((h, w), dtype=bool)
+        r = _BOX_REACH
+        window = (max(y0 - r, 0), min(y1 + r, h), max(x0 - r, 0), min(x1 + r, w))
+        wy, wx = window[0], window[2]
+        wctx = self.crop_context(ctx, window)
+        # From here on every coordinate is window-local.
+        y0, y1, x0, x1 = y0 - wy, y1 - wy, x0 - wx, x1 - wx
+        within = np.zeros(wctx.image.shape, dtype=bool)
         within[y0:y1, x0:x1] = True
-        crop = ctx.smooth[y0:y1, x0:x1]
+        crop = wctx.smooth[y0:y1, x0:x1]
+
+        def _hyp(mask: np.ndarray, kind: str) -> MaskHypothesis:
+            return self._hypothesis(wctx, mask, kind, frame_area=h * w)
 
         hyps: list[MaskHypothesis] = []
         hi = np.percentile(crop, self.seed_quantile)
         lo = np.percentile(crop, 100.0 - self.seed_quantile)
-        bright_seed = within & (ctx.smooth >= hi)
-        dark_seed = within & (ctx.smooth <= lo)
-        hyps.append(self._hypothesis(ctx, self._band_mask(ctx, bright_seed, within=within), "bright"))
-        hyps.append(self._hypothesis(ctx, self._band_mask(ctx, dark_seed, within=within), "dark"))
+        bright_seed = within & (wctx.smooth >= hi)
+        dark_seed = within & (wctx.smooth <= lo)
+        hyps.append(_hyp(self._band_mask(wctx, bright_seed, within=within), "bright"))
+        hyps.append(_hyp(self._band_mask(wctx, dark_seed, within=within), "dark"))
 
         # Locally-bright structure: threshold the top-hat map inside the box.
         # Robust to the slow intensity drift / defocus that shifts absolute
         # values of thin structures (needle-like catalyst).
-        th_crop = ctx.tophat[y0:y1, x0:x1]
-        tau = max(0.45 * float(np.percentile(th_crop, 97)), 2.5 * ctx.noise_sigma)
-        local = within & (ctx.tophat > tau)
+        th_crop = wctx.tophat[y0:y1, x0:x1]
+        tau = max(0.45 * float(np.percentile(th_crop, 97)), 2.5 * wctx.noise_sigma)
+        local = within & (wctx.tophat > tau)
         hyps.append(
-            self._hypothesis(
-                ctx,
-                clean_mask(local, open_radius=1, close_radius=1, min_area=self.min_component_area),
+            _hyp(
+                clean_mask(local, open_radius=1, close_radius=_CLOSE_RADIUS, min_area=self.min_component_area),
                 "local-bright",
             )
         )
 
         t = _otsu_threshold_float(crop)
         cy, cx = (y0 + y1) // 2, (x0 + x1) // 2
-        side_hi = ctx.smooth >= t
+        side_hi = wctx.smooth >= t
         region = side_hi if side_hi[cy, cx] else ~side_hi
         region = region & within
-        region = clean_mask(region, open_radius=1, close_radius=1, min_area=self.min_component_area)
-        hyps.append(self._hypothesis(ctx, region, "region"))
+        region = clean_mask(region, open_radius=1, close_radius=_CLOSE_RADIUS, min_area=self.min_component_area)
+        hyps.append(_hyp(region, "region"))
 
         # Bright side of a (recursive) two-class split: when the box spans
         # the dark background the first Otsu cut separates background from
@@ -271,11 +341,11 @@ class AnalyticMaskHead:
                     sel = crop >= t_split
                     continue
             break
-        split = np.zeros((h, w), dtype=bool)
+        split = np.zeros(wctx.image.shape, dtype=bool)
         split[y0:y1, x0:x1] = sel
         split = clean_mask(split, open_radius=0, close_radius=0, min_area=self.min_component_area)
-        hyps.append(self._hypothesis(ctx, split, "bright-split"))
-        return hyps
+        hyps.append(_hyp(split, "bright-split"))
+        return WindowedHypotheses(window=window, shape=(h, w), hyps=tuple(hyps))
 
     def masks_from_points(
         self,

@@ -312,15 +312,21 @@ class SamPredictor:
         """Analytic hypotheses for one box on the current image, cached.
 
         HITL loops and grounded selection revisit the same (image, box)
-        pairs; content addressing makes the second visit free.
+        pairs; content addressing makes the second visit free.  The cache
+        holds the window-local result (window + window-sized masks); every
+        call pastes it into fresh full-frame masks, so callers may mutate
+        what they get without touching the cached entry.
         """
         if self._ctx is None:
             raise PromptError("call set_image before predicting")
         b = np.asarray(box, dtype=np.float64).reshape(4)
-        key = combine_keys(self._image_key, array_content_key(b))
-        return self.cache.get_or_compute(
-            "sam.analytic_box", key, lambda: self.sam.analytic.masks_from_box(self._ctx, b)
+        # "windowed" names the entry format: a disk tier shared with older
+        # builds holds full-frame hypothesis lists under the bare key.
+        key = combine_keys(self._image_key, array_content_key(b), "windowed")
+        windowed = self.cache.get_or_compute(
+            "sam.analytic_box", key, lambda: self.sam.analytic.box_hypotheses(self._ctx, b)
         )
+        return windowed.paste()
 
     def score_terms(self, mask: np.ndarray) -> dict[str, float]:
         """Quality decomposition for an arbitrary mask on the current image."""

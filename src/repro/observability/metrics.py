@@ -104,8 +104,9 @@ class Histogram:
 
     ``boundaries`` are inclusive upper bounds of the finite buckets; one
     overflow bucket catches everything beyond the last boundary.  Merging
-    two histograms with identical boundaries is exact on bucket counts and
-    observation counts (floats only touch ``sum``).
+    two histograms with identical boundaries is exact on bucket counts,
+    observation counts and the observed ``min``/``max`` (floats only touch
+    ``sum``).
     """
 
     kind = "histogram"
@@ -125,6 +126,8 @@ class Histogram:
         self.bucket_counts = [0] * (len(bounds) + 1)  # +1 overflow
         self.count = 0
         self.sum = 0.0
+        self.min = float("inf")
+        self.max = float("-inf")
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -136,6 +139,8 @@ class Histogram:
         self.bucket_counts[idx] += 1
         self.count += 1
         self.sum += value
+        self.min = min(self.min, value)
+        self.max = max(self.max, value)
 
     def merge(self, other: "Histogram") -> "Histogram":
         if other.boundaries != self.boundaries:
@@ -147,14 +152,19 @@ class Histogram:
             self.bucket_counts[i] += n
         self.count += other.count
         self.sum += other.sum
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
         return self
 
     def percentile(self, q: float) -> float:
         """Estimated q-quantile (q in [0, 1]) by linear in-bucket interpolation.
 
-        The estimate always lies within the bounds of the bucket holding the
-        target rank; the overflow bucket clamps to the last finite boundary
-        (histograms cannot bound what they did not measure).
+        The estimate lies within the bounds of the bucket holding the target
+        rank and is clamped to the observed ``[min, max]``, so no reported
+        percentile exceeds the largest value seen or undercuts the smallest.
+        The overflow bucket has no upper edge to interpolate to: a quantile
+        landing there reports the last finite boundary, which sits below the
+        observed min only when every observation overflowed.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
@@ -163,15 +173,17 @@ class Histogram:
         target = q * self.count
         cum = 0
         lo = 0.0
+        estimate = self.boundaries[-1]
         for i, n in enumerate(self.bucket_counts):
             hi = self.boundaries[i] if i < len(self.boundaries) else self.boundaries[-1]
             if n and cum + n >= target:
                 frac = (target - cum) / n
-                return lo + (hi - lo) * min(max(frac, 0.0), 1.0)
+                estimate = lo + (hi - lo) * min(max(frac, 0.0), 1.0)
+                break
             cum += n
             if i < len(self.boundaries):
                 lo = hi
-        return self.boundaries[-1]
+        return min(max(estimate, min(self.min, self.boundaries[-1])), self.max)
 
     def snapshot(self) -> dict:
         return {
@@ -179,6 +191,8 @@ class Histogram:
             "bucket_counts": list(self.bucket_counts),
             "count": self.count,
             "sum": self.sum,
+            "min": self.min if self.count else 0.0,
+            "max": self.max if self.count else 0.0,
             "p50": self.percentile(0.50),
             "p95": self.percentile(0.95),
             "p99": self.percentile(0.99),

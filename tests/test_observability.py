@@ -190,7 +190,7 @@ class TestMetricsRegistry:
         assert h.sum == pytest.approx(15.5)
         assert 0.0 <= h.percentile(0.5) <= 2.0
         assert h.percentile(1.0) == pytest.approx(4.0)  # overflow clamps to last bound
-        assert h.percentile(0.0) == 0.0
+        assert h.percentile(0.0) == 0.5  # clamped to the observed min
 
     def test_histogram_merge(self):
         a = Histogram("h", boundaries=(1.0, 2.0))
@@ -204,9 +204,44 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             a.merge(Histogram("h", boundaries=(1.0, 3.0)))
 
+    def test_percentiles_clamped_to_observed_range(self):
+        # Latencies like a run's sam.box_prompts stage: before min/max
+        # tracking, p95 interpolated to 0.95 s inside the (0.5, 1.0] bucket
+        # although nothing above 0.74 s was observed.
+        h = Histogram("h")
+        for v in (0.41, 0.52, 0.58, 0.66, 0.74):
+            h.observe(v)
+        assert h.min == 0.41 and h.max == 0.74
+        for q in (0.0, 0.5, 0.95, 0.99, 1.0):
+            assert 0.41 <= h.percentile(q) <= 0.74
+        snap = h.snapshot()
+        assert snap["min"] == 0.41 and snap["max"] == 0.74
+        assert snap["p95"] <= snap["max"] and snap["p99"] <= snap["max"]
+
+    def test_merge_keeps_observed_range(self):
+        a = Histogram("h", boundaries=(1.0, 2.0))
+        b = Histogram("h", boundaries=(1.0, 2.0))
+        a.observe(1.2)
+        b.observe(0.3)
+        b.observe(1.4)
+        a.merge(b)
+        assert (a.min, a.max) == (0.3, 1.4)
+        assert a.percentile(1.0) == 1.4 and a.percentile(0.0) == 0.3
+        a.merge(Histogram("h", boundaries=(1.0, 2.0)))  # empty merge is a no-op
+        assert (a.min, a.max) == (0.3, 1.4)
+
+    def test_all_overflow_reports_last_boundary(self):
+        # Nothing bounds the overflow bucket from above, so a histogram whose
+        # every value overflowed reports its last finite boundary.
+        h = Histogram("h", boundaries=(1.0,))
+        h.observe(5.0)
+        h.observe(7.0)
+        assert h.percentile(0.5) == 1.0
+
     def test_empty_histogram(self):
         h = Histogram("h", boundaries=(1.0,))
         assert h.percentile(0.5) == 0.0
+        assert h.snapshot()["min"] == h.snapshot()["max"] == 0.0
         with pytest.raises(ValueError):
             h.percentile(1.5)
 

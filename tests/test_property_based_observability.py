@@ -5,6 +5,8 @@ Pins the invariants the metrics layer is built on:
 * merging histograms == histogramming the concatenation (exact on bucket
   counts and observation counts; float-close on sums);
 * percentiles are monotone in q and always land inside the bucket bounds;
+* percentiles never exceed the observed max nor fall below the observed
+  min (unless every observation overflowed), before and after a merge;
 * the snapshot-monotone counter absorb (``Counter.set_to``) never loses
   increments, whatever order snapshots arrive in.
 """
@@ -80,6 +82,25 @@ class TestHistogramProperties:
         for x in xs:
             h.observe(x)
         assert 0.0 <= h.percentile(q) <= bounds[-1]
+
+
+    @SETTINGS
+    @given(bounds=boundaries, xs=observations.filter(bool), ys=observations, q=st.floats(min_value=0, max_value=1))
+    def test_percentile_within_observed_range_after_merge(self, bounds, xs, ys, q):
+        a = Histogram("h", boundaries=bounds)
+        b = Histogram("h", boundaries=bounds)
+        for x in xs:
+            a.observe(x)
+        for y in ys:
+            b.observe(y)
+        for merge, seen in ((False, xs), (True, xs + ys)):
+            if merge:
+                a.merge(b)
+            assert (a.min, a.max) == (min(seen), max(seen))
+            p = a.percentile(q)
+            assert p <= max(seen)
+            if min(seen) <= bounds[-1]:
+                assert p >= min(seen)
 
 
 class TestCounterAbsorbProperties:

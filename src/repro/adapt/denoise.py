@@ -87,13 +87,6 @@ def denoise_median(image: np.ndarray, *, size: int = 3) -> np.ndarray:
     return median_filter(img, size=size, mode="reflect")
 
 
-def _shifted(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Image shifted by (dy, dx) with edge replication, same shape."""
-    padded = np.pad(img, ((abs(dy), abs(dy)), (abs(dx), abs(dx))), mode="edge")
-    h, w = img.shape
-    return padded[abs(dy) + dy : abs(dy) + dy + h, abs(dx) + dx : abs(dx) + dx + w]
-
-
 def denoise_bilateral(
     image: np.ndarray,
     *,
@@ -114,12 +107,15 @@ def denoise_bilateral(
     norm = np.zeros_like(img, dtype=np.float64)
     inv_2ss = 1.0 / (2.0 * sigma_spatial**2)
     inv_2sr = 1.0 / (2.0 * sigma_range**2)
+    # Pad once with edge replication; each offset is a view into it.
+    padded = np.pad(img, r, mode="edge")
+    hh, ww = img.shape
     for dy in range(-r, r + 1):
         for dx in range(-r, r + 1):
             w_s = np.exp(-(dy * dy + dx * dx) * inv_2ss)
             if w_s < 1e-4:
                 continue
-            shifted = _shifted(img, dy, dx)
+            shifted = padded[r + dy : r + dy + hh, r + dx : r + dx + ww]
             w = w_s * np.exp(-((shifted - img) ** 2) * inv_2sr)
             acc += w * shifted
             norm += w
@@ -148,9 +144,12 @@ def denoise_nlm(
     acc = np.zeros_like(img, dtype=np.float64)
     norm = np.zeros_like(img, dtype=np.float64)
     inv_h2 = 1.0 / (h * h)
-    for dy in range(-search_radius, search_radius + 1):
-        for dx in range(-search_radius, search_radius + 1):
-            shifted = _shifted(img, dy, dx)
+    r = search_radius
+    padded = np.pad(img, r, mode="edge")
+    hh, ww = img.shape
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            shifted = padded[r + dy : r + dy + hh, r + dx : r + dx + ww]
             d2 = uniform_filter((shifted - img) ** 2, size=patch_size, mode="reflect")
             w = np.exp(-np.maximum(d2, 0.0) * inv_h2)
             acc += w * shifted

@@ -106,35 +106,43 @@ class RectifySession:
         # Ranking key: (0, area) for components containing the click — the
         # *smallest* containing segment is what a user means when clicking a
         # structure embedded in a larger region — else (1, centroid distance).
-        best: tuple[tuple, np.ndarray, np.ndarray] | None = None  # (key, comp, box)
+        # Components are ranked on each hypothesis's window (its masks are
+        # zero outside it); only the accepted one is pasted to the frame.
+        best: tuple[tuple, np.ndarray, tuple, np.ndarray] | None = None  # (key, comp, window, box)
         max_area = self.config.max_component_frac * self.image.size
         iy, ix = int(round(cy)), int(round(cx))
         for box in boxes:
             # Cached per (image, box): repeated rectify rounds re-propose
             # overlapping candidates, and the second visit is free.
-            hyps = self.predictor.masks_from_box(box)
-            for hyp in hyps:
+            windowed = self.predictor.masks_from_box(box)
+            y0, y1, x0, x1 = windowed.window
+            click_inside = y0 <= iy < y1 and x0 <= ix < x1
+            for hyp in windowed.hyps:
                 if hyp.kind == "dark" or not hyp.mask.any():
                     continue
                 for comp in connected_components(hyp.mask, min_area=8)[:6]:
                     area = int(comp.sum())
                     if area > max_area:
                         continue  # a user picks a segment, not half the frame
-                    if comp[iy, ix]:
+                    if click_inside and comp[iy - y0, ix - x0]:
                         key = (0, float(area))
                     else:
                         ys, xs = np.nonzero(comp)
-                        key = (1, float(np.hypot(ys.mean() - cy, xs.mean() - cx)))
+                        # Frame coordinates before the mean, so the float
+                        # sums match a full-frame component's exactly.
+                        key = (1, float(np.hypot((ys + y0).mean() - cy, (xs + x0).mean() - cx)))
                     if best is None or key < best[0]:
-                        best = (key, comp, box)
+                        best = (key, comp, windowed.window, box)
         if best is None:
             raise SessionError("no candidate segment found; increase n_candidates")
-        _, comp, box = best
-        self.mask |= comp
+        _, comp, (y0, y1, x0, x1), box = best
+        added = np.zeros_like(self.mask)
+        added[y0:y1, x0:x1] = comp
+        self.mask |= added
         step = RectifyStep(
             click_xy=(float(cx), float(cy)),
             chosen_box=np.asarray(box),
-            added_mask=comp,
+            added_mask=added,
             candidate_count=int(len(boxes)),
         )
         self.steps.append(step)

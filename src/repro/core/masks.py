@@ -1,21 +1,15 @@
 """Mask operations: RLE codec, components, boundaries, morphology, stability.
 
 The RLE codec matches the COCO-style column-major convention SAM tooling
-uses, so exported annotations interoperate.  Everything else is vectorised
-NumPy / scipy.ndimage.
+uses, so exported annotations interoperate.  Binary morphology is a NumPy
+shift-and-combine over the 3×3 cross (:func:`erode`, :func:`dilate`);
+labelling and hole filling use scipy.ndimage.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import (
-    binary_closing,
-    binary_dilation,
-    binary_erosion,
-    binary_fill_holes,
-    binary_opening,
-    label,
-)
+from scipy.ndimage import binary_fill_holes, label
 
 from ..errors import ValidationError
 from ..utils.validation import ensure_mask
@@ -26,6 +20,8 @@ __all__ = [
     "connected_components",
     "largest_component",
     "component_containing",
+    "erode",
+    "dilate",
     "mask_boundary",
     "clean_mask",
     "stability_score",
@@ -97,12 +93,55 @@ def component_containing(mask: np.ndarray, point_yx: tuple[float, float]) -> np.
     return labels == labels[y, x]
 
 
+def _as_2d_mask(mask: np.ndarray) -> np.ndarray:
+    m = np.asarray(mask, dtype=bool)
+    if m.ndim != 2:
+        raise ValidationError(f"morphology expects a 2-D mask, got shape {m.shape}")
+    return m
+
+
+def erode(mask: np.ndarray, iterations: int = 1) -> np.ndarray:
+    """Binary erosion by the 3×3 cross, ``iterations`` times, as a new array.
+
+    Pixels outside the frame count as 0, so frame-edge pixels always erode
+    (scipy's ``binary_erosion(..., border_value=0)``).  ``iterations=0``
+    returns a copy (scipy would instead iterate until nothing changes).
+    """
+    m = _as_2d_mask(mask)
+    for _ in range(iterations):
+        out = np.zeros_like(m)
+        core = out[1:-1, 1:-1]
+        np.logical_and(m[1:-1, 1:-1], m[:-2, 1:-1], out=core)
+        core &= m[2:, 1:-1]
+        core &= m[1:-1, :-2]
+        core &= m[1:-1, 2:]
+        m = out
+    return m if iterations > 0 else m.copy()
+
+
+def dilate(mask: np.ndarray, iterations: int = 1) -> np.ndarray:
+    """Binary dilation by the 3×3 cross, ``iterations`` times, as a new array.
+
+    Only in-frame neighbours contribute (scipy's ``binary_dilation``);
+    ``iterations=0`` returns a copy.
+    """
+    m = _as_2d_mask(mask)
+    for _ in range(iterations):
+        out = m.copy()
+        out[1:] |= m[:-1]
+        out[:-1] |= m[1:]
+        out[:, 1:] |= m[:, :-1]
+        out[:, :-1] |= m[:, 1:]
+        m = out
+    return m if iterations > 0 else m.copy()
+
+
 def mask_boundary(mask: np.ndarray) -> np.ndarray:
     """One-pixel-wide boundary of a mask (mask minus its erosion)."""
     m = ensure_mask(mask)
     if not m.any():
         return np.zeros_like(m)
-    return m & ~binary_erosion(m, border_value=0)
+    return m & ~erode(m)
 
 
 def clean_mask(
@@ -116,19 +155,17 @@ def clean_mask(
     """Morphological cleanup: opening, closing, optional hole fill, dust removal."""
     m = ensure_mask(mask).copy()
     if open_radius > 0:
-        m = binary_opening(m, iterations=open_radius)
+        m = dilate(erode(m, open_radius), open_radius)
     if close_radius > 0:
-        m = binary_closing(m, iterations=close_radius)
+        m = erode(dilate(m, close_radius), close_radius)
     if fill_holes:
         m = binary_fill_holes(m)
     if min_area > 0 and m.any():
         labels, n = label(m)
         if n:
-            areas = np.bincount(labels.ravel())
-            small = np.nonzero(areas < min_area)[0]
-            small = small[small != 0]
-            if small.size:
-                m[np.isin(labels, small)] = False
+            keep = np.bincount(labels.ravel()) >= min_area
+            keep[0] = False
+            m = keep[labels]
     return m
 
 
@@ -141,8 +178,8 @@ def stability_score(mask: np.ndarray, *, iterations: int = 2) -> float:
     m = ensure_mask(mask)
     if not m.any():
         return 0.0
-    lo = binary_erosion(m, iterations=iterations, border_value=0)
-    hi = binary_dilation(m, iterations=iterations)
+    lo = erode(m, iterations)
+    hi = dilate(m, iterations)
     inter = np.count_nonzero(lo)
     union = np.count_nonzero(hi)
     return float(inter / union) if union else 0.0

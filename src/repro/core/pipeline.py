@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 
 from ..adapt.bitdepth import robust_normalize
 from ..adapt.contrast import clahe
@@ -44,6 +43,7 @@ from ..resilience.faults import get_fault_plan
 from ..resilience.policy import RetryPolicy
 from ..resilience.serving.lifecycle import check_deadline
 from ..utils.timing import StageProfiler
+from .masks import dilate
 from .prompts import SpatialHints, TextPrompt
 from .propagation import PropagationConfig, PropagationEngine, resume_propagation
 from .results import SliceResult, StreamResult, VolumeResult
@@ -332,7 +332,7 @@ class ZenesisPipeline:
         hi_box[max(y0, 0) : y1, max(x0, 0) : x1] = hi[max(y0, 0) : y1, max(x0, 0) : x1]
         n_hi = max(int(hi_box.sum()), 1)
         if hi_dilated is None:
-            hi_dilated = binary_dilation(hi, iterations=2)
+            hi_dilated = dilate(hi, 2)
         best: tuple[MaskHypothesis, float] | None = None
         for hyp in hyps:
             m = hyp.mask
@@ -370,20 +370,31 @@ class ZenesisPipeline:
                 self.predictor.decode_boxes(np.asarray(use_boxes))
             # Box-independent selection masks, hoisted out of the loop.
             hi = detection.relevance >= cfg.box_threshold
-            hi_dilated = binary_dilation(hi, iterations=2)
+            hi_dilated = dilate(hi, 2)
             for box in use_boxes:
-                hyps = self.predictor.masks_from_box(box)
+                # Select on the hypotheses' window: every mask is zero outside
+                # it and the (clipped) box lies inside it, so each selection
+                # term equals its full-frame value.  Only the winner is pasted.
+                windowed = self.predictor.masks_from_box(box)
+                y0, y1, x0, x1 = windowed.window
+                win = (slice(y0, y1), slice(x0, x1))
                 picked = self._select_mask(
-                    hyps, detection.relevance, box, hi=hi, hi_dilated=hi_dilated
+                    list(windowed.hyps),
+                    detection.relevance[win],
+                    np.asarray(box, dtype=np.float64) - (x0, y0, x0, y0),
+                    hi=hi[win],
+                    hi_dilated=hi_dilated[win],
                 )
                 if picked is None or picked[1] <= cfg.selection_floor:
                     continue
-                per_box_masks.append(picked[0].mask)
+                mask = np.zeros_like(union)
+                mask[win] = picked[0].mask
+                per_box_masks.append(mask)
                 per_box_kinds.append(picked[0].kind)
-                union |= picked[0].mask
+                union[win] |= picked[0].mask
         with self.profiler.stage("gate.relevance"):
             if cfg.gate_dilation > 0:
-                gate = binary_dilation(detection.relevance >= cfg.box_threshold, iterations=cfg.gate_dilation)
+                gate = dilate(detection.relevance >= cfg.box_threshold, cfg.gate_dilation)
                 union &= gate
         return union, per_box_masks, per_box_kinds
 

@@ -32,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import binary_dilation, gaussian_filter, label, laplace, sobel
+from scipy.ndimage import gaussian_filter, label, laplace, sobel
 
 from ...core.boxes import clip_boxes, pad_box
-from ...core.masks import clean_mask, component_containing, mask_boundary, stability_score
+from ...core.masks import clean_mask, component_containing, dilate, mask_boundary, stability_score
 from ...errors import PromptError
 
 __all__ = [
@@ -221,7 +221,7 @@ class AnalyticMaskHead:
         if boundary.any() and ctx.grad_p95 > 1e-9:
             edge = float(np.clip(ctx.grad_mag[boundary].mean() / ctx.grad_p95, 0.0, 1.0))
         inside_mean = float(ctx.smooth[m].mean())
-        ring = binary_dilation(m, iterations=_RING_ITERATIONS) & ~m
+        ring = dilate(m, _RING_ITERATIONS) & ~m
         contrast = 0.0
         if ring.any():
             contrast = float(np.clip(abs(inside_mean - float(ctx.smooth[ring].mean())) / 0.25, 0.0, 1.0))

@@ -13,7 +13,7 @@ image (runs the ViT encoder and the analytic precomputation), then
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from ...errors import ModelConfigError, PromptError
 from ...utils.rng import derive_seed
 from ..nn import ParamFactory
 from ..nn.precision import get_precision
-from .analytic import AnalyticContext, AnalyticMaskHead, MaskHypothesis
+from .analytic import AnalyticContext, AnalyticMaskHead, MaskHypothesis, WindowedHypotheses
 from .image_encoder import ImageEncoderViT
 from .mask_decoder import DecoderOutput, MaskDecoder
 from .prompt_encoder import PromptEncoder
@@ -237,7 +237,7 @@ class SamPredictor:
 
         hyps: list[MaskHypothesis]
         if box is not None:
-            hyps = self.masks_from_box(np.asarray(box))
+            hyps = self.masks_from_box(np.asarray(box)).paste()
             if point_coords is not None:
                 hyps += self.sam.analytic.masks_from_points(
                     self._ctx, np.asarray(point_coords), np.asarray(point_labels)
@@ -297,7 +297,7 @@ class SamPredictor:
         outputs = self.decode_boxes(b)
         results: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for box, out in zip(b, outputs):
-            hyps = sorted(self.masks_from_box(box), key=lambda hh: -hh.score)
+            hyps = sorted(self.masks_from_box(box).paste(), key=lambda hh: -hh.score)
             if not multimask_output:
                 hyps = hyps[:1]
             masks = np.stack([hh.mask for hh in hyps], axis=0)
@@ -308,14 +308,15 @@ class SamPredictor:
             results.append((masks, scores, low_res))
         return results
 
-    def masks_from_box(self, box: np.ndarray) -> list[MaskHypothesis]:
+    def masks_from_box(self, box: np.ndarray) -> WindowedHypotheses:
         """Analytic hypotheses for one box on the current image, cached.
 
         HITL loops and grounded selection revisit the same (image, box)
-        pairs; content addressing makes the second visit free.  The cache
-        holds the window-local result (window + window-sized masks); every
-        call pastes it into fresh full-frame masks, so callers may mutate
-        what they get without touching the cached entry.
+        pairs; content addressing makes the second visit free.  Returns the
+        window-local result (window + window-sized masks) so consumers can
+        work on the window and paste only what they keep.  The masks are
+        the cached arrays, marked read-only; ``terms`` dicts are copies, and
+        ``.paste()`` gives fresh full-frame masks that callers may mutate.
         """
         if self._ctx is None:
             raise PromptError("call set_image before predicting")
@@ -326,7 +327,10 @@ class SamPredictor:
         windowed = self.cache.get_or_compute(
             "sam.analytic_box", key, lambda: self.sam.analytic.box_hypotheses(self._ctx, b)
         )
-        return windowed.paste()
+        for hyp in windowed.hyps:
+            # Also for disk-tier hits: unpickled arrays come back writeable.
+            hyp.mask.flags.writeable = False
+        return replace(windowed, hyps=tuple(replace(hyp, terms=dict(hyp.terms)) for hyp in windowed.hyps))
 
     def score_terms(self, mask: np.ndarray) -> dict[str, float]:
         """Quality decomposition for an arbitrary mask on the current image."""

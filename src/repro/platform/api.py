@@ -82,31 +82,34 @@ class ApiHandler:
         self.jobs = jobs
         #: Volumes with at least this many slices go async (None: never).
         self.auto_job_slices = auto_job_slices
-        self._actions: dict[str, Callable[[dict], dict]] = {
-            "create_session": self._create_session,
-            "drop_session": self._drop_session,
-            "load_file": self._load_file,
-            "load_array": self._load_array,
-            "preview": self._preview,
-            "select_slice": self._select_slice,
-            "segment": self._segment,
-            "rectify": self._rectify,
-            "further_segment": self._further_segment,
-            "segment_volume": self._segment_volume,
-            "evaluate": self._evaluate,
-            "dashboard": self._dashboard,
-            "adapt_spec": self._adapt_spec,
-            "mask_png": self._mask_png,
-            "segment_multi": self._segment_multi,
-            "propagate_volume": self._propagate_volume,
-            "calibrate_concept": self._calibrate_concept,
-            "zoo_list": self._zoo_list,
-            "zoo_show": self._zoo_show,
-            "job_submit": self._job_submit,
-            "job_status": self._job_status,
-            "job_result": self._job_result,
-            "job_events": self._job_events,
-            "job_cancel": self._job_cancel,
+        #: action → handler method name, resolved per request: bound methods
+        #: stored here would form a self-cycle that keeps a dropped handler
+        #: (its sessions, pipelines and cache) alive until a full GC pass.
+        self._actions: dict[str, str] = {
+            "create_session": "_create_session",
+            "drop_session": "_drop_session",
+            "load_file": "_load_file",
+            "load_array": "_load_array",
+            "preview": "_preview",
+            "select_slice": "_select_slice",
+            "segment": "_segment",
+            "rectify": "_rectify",
+            "further_segment": "_further_segment",
+            "segment_volume": "_segment_volume",
+            "evaluate": "_evaluate",
+            "dashboard": "_dashboard",
+            "adapt_spec": "_adapt_spec",
+            "mask_png": "_mask_png",
+            "segment_multi": "_segment_multi",
+            "propagate_volume": "_propagate_volume",
+            "calibrate_concept": "_calibrate_concept",
+            "zoo_list": "_zoo_list",
+            "zoo_show": "_zoo_show",
+            "job_submit": "_job_submit",
+            "job_status": "_job_status",
+            "job_result": "_job_result",
+            "job_events": "_job_events",
+            "job_cancel": "_job_cancel",
         }
 
     # -- dispatch -----------------------------------------------------------
@@ -123,9 +126,10 @@ class ApiHandler:
     def handle(self, request: dict) -> dict:
         """Process one request dict: ``{"action": ..., ...params}``."""
         action = request.get("action")
-        handler = self._actions.get(action)  # type: ignore[arg-type]
-        if handler is None:
+        name = self._actions.get(action)  # type: ignore[arg-type]
+        if name is None:
             return {"ok": False, "type": "UnknownAction", "error": f"unknown action {action!r}; known: {sorted(self._actions)}"}
+        handler: Callable[[dict], dict] = getattr(self, name)
         try:
             deadline = self._request_deadline(request)
             with request_scope(deadline):

@@ -1,7 +1,9 @@
 """Tests for the platform layer: sessions, modes, JSON API, HTTP server."""
 
+import gc
 import json
 import urllib.request
+import weakref
 
 import numpy as np
 import pytest
@@ -153,6 +155,21 @@ class TestApi:
     def test_dashboard_requires_evaluate(self):
         r = ApiHandler().handle({"action": "dashboard"})
         assert not r["ok"]
+
+    def test_dropped_handler_is_freed_without_gc(self, amorphous_sample):
+        # A handler that served a session must not sit in a reference cycle:
+        # dropping it frees its sessions, pipelines and cache right away.
+        api = ApiHandler()
+        sid = api.handle({"action": "create_session"})["session_id"]
+        api.store.get(sid).load_array(amorphous_sample.volume.voxels[0])
+        assert api.handle({"action": "segment", "session_id": sid, "prompt": "catalyst particles"})["ok"]
+        ref = weakref.ref(api)
+        gc.disable()
+        try:
+            del api
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestServer:

@@ -528,7 +528,7 @@ class _SlowApi(ApiHandler):
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        self._actions["sleep"] = self._sleep
+        self._actions["sleep"] = "_sleep"
 
     def _sleep(self, request: dict) -> dict:
         time.sleep(float(request.get("s", 0.3)))

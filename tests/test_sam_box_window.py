@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cache import InferenceCache, array_content_key, combine_keys, nbytes_of
+from repro.cache import CacheConfig, InferenceCache, array_content_key, combine_keys, nbytes_of
 from repro.core.boxes import clip_boxes, pad_box
 from repro.core.masks import clean_mask
 from repro.data.synthesis.fibsem import synthesize_fibsem_volume
@@ -158,30 +158,64 @@ class TestWindowedCache:
 
     def test_entry_is_window_sized(self, predictor):
         box = np.array([100.0, 110.0, 130.0, 136.0])
-        hyps = predictor.masks_from_box(box)
+        windowed = predictor.masks_from_box(box)
         entry = self._entry(predictor, box)
         full_mask_bytes = 256 * 256  # one bool per pixel
-        assert all(h.mask.shape == (256, 256) for h in hyps)
-        assert nbytes_of(entry) < len(hyps) * full_mask_bytes / 8
+        y0, y1, x0, x1 = windowed.window
+        assert all(h.mask.shape == (y1 - y0, x1 - x0) for h in windowed.hyps)
+        assert all(h.mask.shape == (256, 256) for h in windowed.paste())
+        assert nbytes_of(entry) < len(windowed.hyps) * full_mask_bytes / 8
 
     def test_hit_equals_miss(self, predictor):
         box = np.array([40.0, 60.0, 90.0, 100.0])
         miss = predictor.masks_from_box(box)
         hit = predictor.masks_from_box(box)
-        _assert_identical(hit, miss)
-        _assert_identical(miss, predictor.sam.analytic.masks_from_box(predictor.analytic_context, box))
+        assert hit.window == miss.window
+        _assert_identical(hit.hyps, miss.hyps)
+        _assert_identical(miss.paste(), predictor.sam.analytic.masks_from_box(predictor.analytic_context, box))
 
     def test_mutating_result_leaves_cache_intact(self, predictor):
+        # Window masks are the cached arrays, so writing to them must raise.
+        # The terms dicts are copies.
         box = np.array([40.0, 60.0, 90.0, 100.0])
         first = predictor.masks_from_box(box)
-        snapshot = [h.mask.copy() for h in first]
-        for h in first:
-            h.mask[:] = ~h.mask
+        for h in first.hyps:
+            with pytest.raises(ValueError):
+                h.mask[:] = ~h.mask
             h.terms.clear()
         again = predictor.masks_from_box(box)
-        for h, want in zip(again, snapshot):
+        assert all(h.terms for h in again.hyps)
+        _assert_identical(again.paste(), predictor.sam.analytic.masks_from_box(predictor.analytic_context, box))
+
+    def test_paste_returns_fresh_arrays(self, predictor):
+        box = np.array([40.0, 60.0, 90.0, 100.0])
+        windowed = predictor.masks_from_box(box)
+        pasted = windowed.paste()
+        snapshot = [h.mask.copy() for h in pasted]
+        for h, win in zip(pasted, windowed.hyps):
+            assert h.mask.flags.writeable and not np.shares_memory(h.mask, win.mask)
+            h.mask[:] = ~h.mask
+            h.terms.clear()
+        for h, want in zip(predictor.masks_from_box(box).paste(), snapshot):
             assert np.array_equal(h.mask, want)
             assert h.terms
+
+    def test_disk_tier_hit_is_read_only(self, tmp_path):
+        sample = synthesize_fibsem_volume(catalyst="amorphous", shape=(96, 96), n_slices=1, seed=5)
+        image = np.asarray(sample.clean[0], dtype=np.float32)
+        box = np.array([20.0, 30.0, 60.0, 70.0])
+        config = CacheConfig(enabled=True, disk_enabled=True, disk_dir=tmp_path)
+        writer = SamPredictor(cache=InferenceCache(config))
+        writer.set_image(image)
+        want = writer.masks_from_box(box).paste()
+        reader = SamPredictor(cache=InferenceCache(config))  # cold memory tier
+        reader.set_image(image)
+        windowed = reader.masks_from_box(box)
+        assert reader.cache.stats.tier("disk").hits >= 1
+        for h in windowed.hyps:
+            with pytest.raises(ValueError):
+                h.mask[0, 0] = True
+        _assert_identical(windowed.paste(), want)
 
     def test_box_and_points_prompt_does_not_grow_cached_list(self, predictor):
         # predict() appends point hypotheses to the box hypotheses it gets
@@ -191,7 +225,7 @@ class TestWindowedCache:
         first, _, _ = predictor.predict(box=box, point_coords=points, point_labels=labels)
         second, _, _ = predictor.predict(box=box, point_coords=points, point_labels=labels)
         assert first.shape == second.shape
-        assert len(predictor.masks_from_box(box)) == 5
+        assert len(predictor.masks_from_box(box).hyps) == 5
 
     def test_entry_from_older_format_is_not_served(self, predictor):
         # Earlier builds stored a list of full-frame hypotheses under the
@@ -200,5 +234,6 @@ class TestWindowedCache:
         legacy_key = combine_keys(predictor._image_key, array_content_key(box))
         predictor.cache.put("sam.analytic_box", legacy_key, [])
         _assert_identical(
-            predictor.masks_from_box(box), predictor.sam.analytic.masks_from_box(predictor.analytic_context, box)
+            predictor.masks_from_box(box).paste(),
+            predictor.sam.analytic.masks_from_box(predictor.analytic_context, box),
         )
